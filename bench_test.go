@@ -251,9 +251,9 @@ func BenchmarkSAGEMeanForwardBackward(b *testing.B) { benchForwardBackward(b, nn
 
 // BenchmarkTrainStep measures the full training step — micro-batch
 // forward+backward plus the optimizer — across worker counts and with the
-// tape buffer pool on and off, the sweep cmd/bettybench -step records in
-// BENCH_step.json. Sub-benchmark names carry both knobs so speedups and
-// allocation reductions read directly off `go test -bench TrainStep`.
+// tape buffer pool on and off. Sub-benchmark names carry both settings so
+// speedups and allocation reductions read directly off
+// `go test -bench TrainStep`.
 func BenchmarkTrainStep(b *testing.B) {
 	ds := benchDataset(b)
 	seeds := ds.TrainIdx

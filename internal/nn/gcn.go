@@ -37,7 +37,9 @@ func NewGCNConv(g *graph.Graph, in, out int, r *rng.RNG) *GCNConv {
 // Params implements Module.
 func (c *GCNConv) Params() []*tensor.Var { return c.fc.Params() }
 
-// Forward computes the layer on block b; h holds source features.
+// Forward computes the layer on block b; h holds source features. Models
+// run ForwardFused; this primitive-op chain is the reference tests hold it
+// to bit for bit.
 func (c *GCNConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var) *tensor.Var {
 	if h.Value.Rows() != b.NumSrc {
 		panic(fmt.Sprintf("nn: GCNConv got %d feature rows for %d sources", h.Value.Rows(), b.NumSrc))
@@ -98,16 +100,8 @@ func (m *GCN) Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var) *te
 		panic(fmt.Sprintf("nn: model has %d layers but batch has %d blocks", len(m.Layers), len(blocks)))
 	}
 	h := x
-	fused := FusedEnabled()
 	for l, conv := range m.Layers {
-		if fused {
-			h = conv.ForwardFused(tp, blocks[l], h, l < len(m.Layers)-1)
-		} else {
-			h = conv.Forward(tp, blocks[l], h)
-			if l < len(m.Layers)-1 {
-				h = tp.ReLU(h)
-			}
-		}
+		h = conv.ForwardFused(tp, blocks[l], h, l < len(m.Layers)-1)
 	}
 	return h
 }

@@ -62,7 +62,8 @@ func (c *SAGEConv) AggParams() []*tensor.Var {
 }
 
 // Forward computes the layer on block b. h holds source-node features
-// (b.NumSrc rows); the result has b.NumDst rows.
+// (b.NumSrc rows); the result has b.NumDst rows. Models run ForwardFused;
+// this primitive-op chain is the reference tests hold it to bit for bit.
 func (c *SAGEConv) Forward(tp *tensor.Tape, b *graph.Block, h *tensor.Var) *tensor.Var {
 	if h.Value.Rows() != b.NumSrc {
 		panic(fmt.Sprintf("nn: SAGEConv got %d feature rows for %d sources", h.Value.Rows(), b.NumSrc))
@@ -225,16 +226,8 @@ func (m *GraphSAGE) Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Va
 		panic(fmt.Sprintf("nn: model has %d layers but batch has %d blocks", len(m.Layers), len(blocks)))
 	}
 	h := x
-	fused := FusedEnabled()
 	for l, conv := range m.Layers {
-		if fused {
-			h = conv.ForwardFused(tp, blocks[l], h, l < len(m.Layers)-1)
-		} else {
-			h = conv.Forward(tp, blocks[l], h)
-			if l < len(m.Layers)-1 {
-				h = tp.ReLU(h)
-			}
-		}
+		h = conv.ForwardFused(tp, blocks[l], h, l < len(m.Layers)-1)
 	}
 	return h
 }

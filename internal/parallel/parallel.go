@@ -1,6 +1,6 @@
 // Package parallel provides the worker pool behind every multi-core hot
-// path in the repository: the row-blocked matmul kernels, REG pair
-// emission, and chunk-parallel evaluation.
+// path in the repository: the row-blocked matmul kernels, the tape's
+// aggregation and elementwise kernels, and REG pair emission.
 //
 // The package is built around one invariant: *the decomposition of work is
 // independent of the worker count*. For splits [0, n) into ceil(n/grain)
@@ -35,10 +35,10 @@ func init() {
 //
 // Earlier revisions spawned fresh goroutines (and a WaitGroup) on every
 // parallel call, which showed up as ~200 extra allocations per training
-// step at BETTY_WORKERS=8 (BENCH_step.json, PR 2). The pool below keeps
-// long-lived workers fed through a buffered channel and recycles the
-// per-call job descriptor through a sync.Pool, so a steady-state parallel
-// call allocates nothing beyond the caller's own closure.
+// step at BETTY_WORKERS=8. The pool below keeps long-lived workers fed
+// through a buffered channel and recycles the per-call job descriptor
+// through a sync.Pool, so a steady-state parallel call allocates nothing
+// beyond the caller's own closure.
 //
 // Work distribution is unchanged: a job exposes its shards through an
 // atomic cursor and any subset of workers (plus the submitting goroutine,
@@ -86,9 +86,12 @@ func (j *job) run() {
 var (
 	jobPool = sync.Pool{New: func() any { return new(job) }}
 	// jobs is the feed channel of the persistent workers. Sends are
-	// non-blocking: when every worker is busy (including the nested-call
-	// case, where a worker's fn itself issues a parallel call), the
-	// submitter simply runs more shards on its own goroutine.
+	// non-blocking, but a send succeeds whenever the buffer has room, even
+	// if every worker is busy. Nested calls are therefore unsafe: when
+	// every worker runs an fn that issues its own parallel call, the
+	// nested jobs sit in the buffer while each submitter waits in wg.Wait
+	// for a worker to take them, and none ever does. Callers keep the
+	// outer loop serial and let only the innermost kernels fan out.
 	jobs = make(chan *job, 256)
 	// spawned counts the persistent workers launched so far; workers are
 	// started lazily, up to the largest concurrency any call has asked for.
@@ -123,8 +126,8 @@ func dispatch(j *job, w int) {
 		select {
 		case jobs <- j:
 		default:
-			// Pool saturated (e.g. a nested call from inside a worker):
-			// stop posting and let the submitter drain the rest itself.
+			// Feed buffer full: stop posting and let the submitter drain
+			// the rest itself.
 			j.wg.Done()
 			i = w // exit the posting loop
 		}

@@ -179,7 +179,7 @@ func TestEmbcacheSkewedHitRate(t *testing.T) {
 	d := testData(t)
 	model := testModel(t, d)
 	reg := obs.New(nil)
-	cfg := testConfig(nil, reg) // real clock: RunLoad measures wall time
+	cfg := testConfig(nil, reg)
 	cfg.EmbMode = embcache.ModeReuse
 	cfg.QueueDepth = 256
 	s := newTestServer(t, d, model, cfg)

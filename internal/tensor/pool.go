@@ -1,10 +1,7 @@
 package tensor
 
 import (
-	"fmt"
 	"math/bits"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -23,8 +20,9 @@ import (
 // cannot change any numerical result: training with the pool on and off is
 // bitwise-identical by construction.
 //
-// Pooling defaults to on; BETTY_POOL=0 (or SetPooling(false)) disables it,
-// turning acquire/release into plain make/no-op for A/B benchmarking.
+// Pooling is on from package init. SetPooling(false) turns acquire/release
+// into plain make/no-op; the determinism tests use it to pin pool-on
+// results to pool-off results.
 
 const (
 	// poolMinBits..poolMaxBits bound the size classes: slices shorter than
@@ -48,40 +46,12 @@ var (
 	poolReleases atomic.Int64
 )
 
-func init() { poolEnabled.Store(defaultPooling()) }
-
-// ParsePoolMode validates a BETTY_POOL override, accepting exactly the
-// strconv.ParseBool spellings (1/0, t/f, true/false, ...). The empty
-// string means "unset" and returns the default (pooling on). Garbage is an
-// error: a typo must fail loudly, not silently run an A/B benchmark with
-// the wrong arm.
-func ParsePoolMode(v string) (bool, error) {
-	if v == "" {
-		return true, nil
-	}
-	on, err := strconv.ParseBool(v)
-	if err != nil {
-		return false, fmt.Errorf("BETTY_POOL=%q: not a boolean (want 1/0, true/false, t/f)", v)
-	}
-	return on, nil
-}
-
-// defaultPooling reads the BETTY_POOL environment toggle (default on). An
-// invalid BETTY_POOL value panics at startup.
-func defaultPooling() bool {
-	on, err := ParsePoolMode(os.Getenv("BETTY_POOL"))
-	if err != nil {
-		panic("tensor: " + err.Error())
-	}
-	return on
-}
-
-// PoolingEnabled reports whether the tape buffer pool is active.
-func PoolingEnabled() bool { return poolEnabled.Load() }
+func init() { poolEnabled.Store(true) }
 
 // SetPooling switches the tape buffer pool on or off and returns the
-// previous setting. Disabling also drops every retained buffer, so
-// benchmarks toggling the pool start from a cold arena either way:
+// previous setting. Tests are its only caller: they compare pool-on
+// against pool-off results. Disabling also drops every retained buffer,
+// so a toggled run starts from a cold arena either way:
 //
 //	defer tensor.SetPooling(tensor.SetPooling(false))
 func SetPooling(on bool) bool {

@@ -9,6 +9,7 @@ import (
 	"betty/internal/parallel"
 	"betty/internal/reg"
 	"betty/internal/sample"
+	"betty/internal/tensor"
 )
 
 // microState is one run's accumulated gradients (pre-Step) and post-Step
@@ -164,13 +165,33 @@ func TestMicroBatchBitwiseRepeatable(t *testing.T) {
 	}
 }
 
+// unfusedSAGE is the reference for the fused kernel tier: a GraphSAGE
+// whose Forward chains each layer's primitive-op Forward and the
+// inter-layer ReLU instead of ForwardFused.
+type unfusedSAGE struct{ *nn.GraphSAGE }
+
+func (m unfusedSAGE) Forward(tp *tensor.Tape, blocks []*graph.Block, x *tensor.Var) *tensor.Var {
+	h := x
+	for l, conv := range m.Layers {
+		h = conv.Forward(tp, blocks[l], h)
+		if l < len(m.Layers)-1 {
+			h = tp.ReLU(h)
+		}
+	}
+	return h
+}
+
 // runEpochs trains nEpochs full passes over the given pre-sampled batches
 // (each split into 2 Betty micro-batches, one optimizer step per batch) on
-// a fresh identically-seeded runner, and returns the final parameter values.
-func runEpochs(t *testing.T, batches [][]*graph.Block, nEpochs int) [][]float32 {
+// a fresh identically-seeded runner, and returns the final parameter
+// values. unfused runs the model through the unfusedSAGE reference.
+func runEpochs(t *testing.T, batches [][]*graph.Block, nEpochs int, unfused bool) [][]float32 {
 	t.Helper()
 	d := testData(t)
 	r := testRunner(t, d, nil)
+	if unfused {
+		r.Model = unfusedSAGE{r.Model.(*nn.GraphSAGE)}
+	}
 	for e := 0; e < nEpochs; e++ {
 		for _, blocks := range batches {
 			last := blocks[len(blocks)-1]
@@ -200,9 +221,9 @@ func runEpochs(t *testing.T, batches [][]*graph.Block, nEpochs int) [][]float32 
 
 // TestFusedTrainingBitwiseEquivalent is the end-to-end contract of the
 // fused kernel tier (DESIGN.md §13): a 3-epoch micro-batched training run
-// with BETTY_FUSED on produces bit-for-bit the same final weights as the
-// unfused primitive-op chains, at any worker count. Fusion is a pure
-// execution-plan change, never a numerics change.
+// of the production (fused) forward produces bit-for-bit the same final
+// weights as the unfused primitive-op chains, at any worker count. Fusion
+// is a pure execution-plan change, never a numerics change.
 func TestFusedTrainingBitwiseEquivalent(t *testing.T) {
 	d := testData(t)
 	s := sample.New([]int{5, 5}, 1)
@@ -215,22 +236,14 @@ func TestFusedTrainingBitwiseEquivalent(t *testing.T) {
 		batches = append(batches, blocks)
 	}
 	defer parallel.SetWorkers(parallel.SetWorkers(1))
-	defer nn.SetFused(nn.SetFused(true))
-
-	nn.SetFused(false)
-	parallel.SetWorkers(1)
-	ref := runEpochs(t, batches, 3)
+	ref := runEpochs(t, batches, 3, true)
 
 	for _, w := range []int{1, 8} {
 		parallel.SetWorkers(w)
-		nn.SetFused(true)
-		fused := runEpochs(t, batches, 3)
-		if !bitsEqual(t, ref, fused) {
+		if fused := runEpochs(t, batches, 3, false); !bitsEqual(t, ref, fused) {
 			t.Errorf("workers=%d: fused 3-epoch weights differ in bits from unfused workers=1 run", w)
 		}
-		nn.SetFused(false)
-		plain := runEpochs(t, batches, 3)
-		if !bitsEqual(t, ref, plain) {
+		if plain := runEpochs(t, batches, 3, true); !bitsEqual(t, ref, plain) {
 			t.Errorf("workers=%d: unfused 3-epoch weights not bitwise reproducible", w)
 		}
 	}

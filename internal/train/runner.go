@@ -15,7 +15,6 @@ import (
 	"betty/internal/graph"
 	"betty/internal/nn"
 	"betty/internal/obs"
-	"betty/internal/parallel"
 	"betty/internal/tensor"
 )
 
@@ -344,73 +343,57 @@ func (r *Runner) Step() {
 }
 
 // sampler is the subset of sample.Sampler the evaluator needs; declared
-// here to avoid a dependency cycle in tests that fake it. Sample must be
-// safe for concurrent calls (the evaluator runs chunks in parallel).
+// here to avoid a dependency cycle in tests that fake it.
 type sampler interface {
 	Sample(g *graph.Graph, seeds []int32) ([]*graph.Block, error)
 }
 
 // Evaluate computes accuracy over seeds, processing them in chunks of
 // chunkSize with the given sampler (no device accounting, no gradients).
-// Chunks run in parallel: the sampler derives each chunk's random stream
-// from the chunk's own seeds, so the result is identical for any worker
-// count and to a serial evaluation. Masked seeds (label < 0) are excluded
+// Chunks run one after another and each chunk's kernels fan out over the
+// worker pool; the chunk loop stays serial because parallel calls must not
+// nest (see the jobs channel in internal/parallel). The sampler derives
+// each chunk's random stream from the chunk's own seeds, so the result is
+// identical for any worker count. Masked seeds (label < 0) are excluded
 // from both numerator and denominator, matching RunMicroBatch; it is an
 // error only when no labeled seed was seen at all.
 func (r *Runner) Evaluate(s sampler, seeds []int32, chunkSize int) (float64, error) {
 	if chunkSize <= 0 {
 		chunkSize = 1024
 	}
-	type chunkResult struct {
-		correct, count int
-		err            error
-	}
 	nChunks := (len(seeds) + chunkSize - 1) / chunkSize
 	sp := r.Obs.StartSpan(obs.PhaseEval).
 		SetInt("seeds", int64(len(seeds))).
 		SetInt("chunks", int64(nChunks))
 	defer sp.End()
-	results := make([]chunkResult, nChunks)
-	parallel.For(nChunks, 1, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			clo := c * chunkSize
-			chi := clo + chunkSize
-			if chi > len(seeds) {
-				chi = len(seeds)
-			}
-			blocks, err := s.Sample(r.Data.Graph, seeds[clo:chi])
-			if err != nil {
-				results[c].err = err
-				continue
-			}
-			x, err := r.Data.GatherFeatures(blocks[0].SrcNID)
-			if err != nil {
-				results[c].err = err
-				continue
-			}
-			labels := r.Data.GatherLabels(blocks[len(blocks)-1].DstNID)
-			tp := tensor.NewTape()
-			logits := r.Model.Forward(tp, blocks, tensor.Leaf(x))
-			pred := tensor.Argmax(logits.Value)
-			for i, p := range pred {
-				if labels[i] < 0 {
-					continue
-				}
-				results[c].count++
-				if p == labels[i] {
-					results[c].correct++
-				}
-			}
-			tp.Release() // predictions extracted; recycle the chunk's arena
-		}
-	})
 	correct, count := 0, 0
-	for _, cr := range results {
-		if cr.err != nil {
-			return 0, cr.err
+	tp := tensor.NewTape()
+	for clo := 0; clo < len(seeds); clo += chunkSize {
+		chi := clo + chunkSize
+		if chi > len(seeds) {
+			chi = len(seeds)
 		}
-		correct += cr.correct
-		count += cr.count
+		blocks, err := s.Sample(r.Data.Graph, seeds[clo:chi])
+		if err != nil {
+			return 0, err
+		}
+		x, err := r.Data.GatherFeatures(blocks[0].SrcNID)
+		if err != nil {
+			return 0, err
+		}
+		labels := r.Data.GatherLabels(blocks[len(blocks)-1].DstNID)
+		logits := r.Model.Forward(tp, blocks, tensor.Leaf(x))
+		pred := tensor.Argmax(logits.Value)
+		for i, p := range pred {
+			if labels[i] < 0 {
+				continue
+			}
+			count++
+			if p == labels[i] {
+				correct++
+			}
+		}
+		tp.Release() // predictions extracted; recycle the chunk's arena
 	}
 	if count == 0 {
 		return 0, fmt.Errorf("train: no labeled evaluation nodes")

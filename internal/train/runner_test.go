@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"betty/internal/dataset"
 	"betty/internal/device"
@@ -331,5 +332,40 @@ func TestRunMicroBatchMaskedCount(t *testing.T) {
 	}
 	if res.Count != labeled {
 		t.Fatalf("Count = %d, want %d labeled of %d seeds", res.Count, labeled, len(seeds))
+	}
+}
+
+// TestEvaluateMultiChunkTwoWorkers evaluates over several chunks whose
+// forwards are large enough for the kernels to fan out over the pool, at
+// two workers. Running the chunks themselves under parallel.For
+// deadlocked here: each chunk's nested kernel jobs waited in the pool's
+// feed channel while every worker blocked on them.
+func TestEvaluateMultiChunkTwoWorkers(t *testing.T) {
+	d, err := dataset.Generate(dataset.GenConfig{
+		Name: "eval", Nodes: 6000, AvgDegree: 8, FeatureDim: 64,
+		NumClasses: 4, Homophily: 0.8, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := testRunner(t, d, nil)
+	s := sample.New([]int{5, 10}, 3)
+	seeds := make([]int32, d.Graph.NumNodes())
+	for i := range seeds {
+		seeds[i] = int32(i)
+	}
+	defer parallel.SetWorkers(parallel.SetWorkers(2))
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Evaluate(s, seeds, 2048)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("Evaluate over 3 chunks at 2 workers did not return within 30s")
 	}
 }
